@@ -282,128 +282,108 @@ bool IsMutatingRequest(const Buffer& request) {
   Slice bytes = request.AsSlice();
   return !bytes.empty() && IsMutatingMessage(static_cast<MsgType>(bytes[0]));
 }
+
+/// The ops of a write round that sends `msg` once to each of `n`
+/// providers.
+std::vector<std::vector<Buffer>> OneEach(const Buffer& msg, size_t n) {
+  return std::vector<std::vector<Buffer>>(n, std::vector<Buffer>{msg});
+}
+
+/// Moves one row's share rows (position p = group provider p) into the
+/// per-provider lists of its owning shard group.
+void AddShareRows(size_t shard, std::vector<StoredRow> shares,
+                  std::vector<std::vector<StoredRow>>* per_provider) {
+  const size_t n_per = shares.size();
+  for (size_t p = 0; p < n_per; ++p) {
+    (*per_provider)[shard * n_per + p].push_back(std::move(shares[p]));
+  }
+}
+
+using EncodeRowsFn = void (*)(uint32_t,
+                              const std::vector<ProviderColumnLayout>&,
+                              const std::vector<StoredRow>&, Buffer*);
+
+/// Appends one `encode` message per provider to `ops`, where `rows[g]`
+/// are provider g's share rows. With shard groups a provider without
+/// rows gets no message; in a 1-shard deployment every provider gets one.
+void AppendRowOps(EncodeRowsFn encode, uint32_t table_id,
+                  const std::vector<ProviderColumnLayout>& layout,
+                  const std::vector<std::vector<StoredRow>>& rows,
+                  bool sharded, std::vector<std::vector<Buffer>>* ops) {
+  for (size_t g = 0; g < rows.size(); ++g) {
+    if (sharded && rows[g].empty()) continue;
+    Buffer msg;
+    encode(table_id, layout, rows[g], &msg);
+    (*ops)[g].push_back(std::move(msg));
+  }
+}
+
+/// Appends a DeleteRows message for shard group s's ids to each of its
+/// `n_per` providers; groups without ids get none.
+void AppendDeleteOps(uint32_t table_id,
+                     const std::vector<std::vector<uint64_t>>& shard_ids,
+                     size_t n_per, std::vector<std::vector<Buffer>>* ops) {
+  for (size_t s = 0; s < shard_ids.size(); ++s) {
+    if (shard_ids[s].empty()) continue;
+    Buffer msg;
+    EncodeDeleteRows(table_id, shard_ids[s], &msg);
+    for (size_t p = 0; p < n_per; ++p) (*ops)[s * n_per + p].push_back(msg);
+  }
+}
 }  // namespace
 
-Status DataSourceClient::CallGroup(const std::vector<size_t>& providers,
-                                   const std::vector<Buffer>& requests) {
-  // Killed providers absorb their mutating legs into the resync queue:
-  // the write succeeds on the survivors and the exact bytes replay at
-  // Restart. Non-mutating legs still travel (and fail Unavailable),
-  // matching kDown semantics.
-  std::vector<size_t> live;
-  std::vector<Buffer> live_requests;
-  {
-    std::lock_guard<std::mutex> lock(outage_mu_);
-    if (!out_providers_.empty()) {
-      for (size_t i = 0; i < providers.size(); ++i) {
-        if (out_providers_.count(providers[i]) != 0 &&
-            IsMutatingRequest(requests[i])) {
-          Buffer copy;
-          copy.Append(requests[i].AsSlice());
-          pending_resync_[providers[i]].push_back(std::move(copy));
-          continue;
-        }
-        live.push_back(providers[i]);
-        Buffer copy;
-        copy.Append(requests[i].AsSlice());
-        live_requests.push_back(std::move(copy));
-      }
-      if (live.empty()) return Status::OK();
-    }
-  }
-  const bool intercepted = !live.empty();
-  const std::vector<size_t>& group = intercepted ? live : providers;
-  const std::vector<Buffer>& payloads =
-      intercepted ? live_requests : requests;
-  fanout_rounds_.fetch_add(1, std::memory_order_relaxed);
-  Network::FanOutResult fan = network_->CallManyDistinct(group, payloads);
-  for (size_t i = 0; i < fan.responses.size(); ++i) {
-    if (!fan.responses[i].ok()) return fan.responses[i].status();
-    Decoder dec(Slice(*fan.responses[i]));
-    SSDB_RETURN_IF_ERROR(DecodeResponseHeader(&dec));
-  }
-  return Status::OK();
-}
-
-Status DataSourceClient::CallAll(const std::vector<Buffer>& requests) {
-  return CallGroup(providers_, requests);
-}
-
-Status DataSourceClient::CallGroupSame(const std::vector<size_t>& providers,
-                                       const Buffer& request) {
-  std::vector<Buffer> requests(providers.size());
-  for (auto& b : requests) b.Append(request.AsSlice());
-  return CallGroup(providers, requests);
-}
-
-Status DataSourceClient::CallAllSame(const Buffer& request) {
-  return CallGroupSame(providers_, request);
-}
-
-Status DataSourceClient::CallAllBatched(
-    const std::vector<std::vector<Buffer>>& per_provider_ops) {
-  if (per_provider_ops.size() != providers_.size()) {
-    return Status::Internal("client: batched fan-out arity mismatch");
-  }
-  // Killed providers absorb their ops into the resync queue BEFORE
-  // enveloping: the queue holds individual wire messages, never batch
-  // envelopes, so catch-up replay can re-chunk them by batch_max_ops.
-  std::vector<bool> skip(per_provider_ops.size(), false);
-  {
-    std::lock_guard<std::mutex> lock(outage_mu_);
-    if (!out_providers_.empty()) {
-      for (size_t p = 0; p < providers_.size(); ++p) {
-        if (out_providers_.count(providers_[p]) == 0) continue;
-        skip[p] = true;
-        for (const Buffer& op : per_provider_ops[p]) {
-          Buffer copy;
-          copy.Append(op.AsSlice());
-          pending_resync_[providers_[p]].push_back(std::move(copy));
-        }
-      }
-    }
-  }
-
+Status DataSourceClient::SendWrites(
+    const std::vector<size_t>& group,
+    const std::vector<std::vector<Buffer>>& ops) {
+  // Killed providers absorb their mutating ops into the resync queue as
+  // individual messages, never envelopes, so catch-up replay can re-chunk
+  // them by batch_max_ops and the exact bytes replay at Restart. Their
+  // non-mutating ops still travel and fail Unavailable, as with kDown.
+  std::vector<std::vector<Slice>> live(group.size());
   size_t total = 0;
-  for (size_t p = 0; p < per_provider_ops.size(); ++p) {
-    if (skip[p]) continue;
-    total = std::max(total, per_provider_ops[p].size());
+  {
+    std::lock_guard<std::mutex> lock(outage_mu_);
+    for (size_t i = 0; i < group.size(); ++i) {
+      const bool out = out_providers_.count(group[i]) != 0;
+      for (const Buffer& op : ops[i]) {
+        if (out && IsMutatingRequest(op)) {
+          pending_resync_[group[i]].push_back(op);
+        } else {
+          live[i].push_back(op.AsSlice());
+        }
+      }
+      total = std::max(total, live[i].size());
+    }
   }
-  if (total == 0) return Status::OK();
 
   const size_t max_ops = std::max<size_t>(options_.batch_max_ops, 1);
   for (size_t begin = 0; begin < total; begin += max_ops) {
     // Round r covers ops [begin, begin+max_ops) of each provider's own
-    // list; providers with nothing left sit the round out (sharded writes
-    // produce ragged lists — all shard groups advance in parallel).
-    std::vector<size_t> group;
+    // list; providers with nothing left sit the round out.
+    std::vector<size_t> round;
     std::vector<Buffer> requests;
     std::vector<size_t> spans;
-    for (size_t p = 0; p < providers_.size(); ++p) {
-      if (skip[p]) continue;
-      const std::vector<Buffer>& ops = per_provider_ops[p];
-      if (begin >= ops.size()) continue;
-      const size_t end = std::min(ops.size(), begin + max_ops);
+    for (size_t i = 0; i < group.size(); ++i) {
+      if (begin >= live[i].size()) continue;
+      const size_t end = std::min(live[i].size(), begin + max_ops);
       const size_t span = end - begin;
       Buffer req;
       if (span == 1) {
         // A lone op travels unwrapped: identical bytes to a plain call.
-        req.Append(ops[begin].AsSlice());
+        req.Append(live[i][begin]);
       } else {
-        std::vector<Slice> slices;
-        slices.reserve(span);
-        for (size_t i = begin; i < end; ++i) {
-          slices.push_back(ops[i].AsSlice());
-        }
-        EncodeBatchRequest(slices, &req);
+        EncodeBatchRequest(
+            std::vector<Slice>(live[i].begin() + static_cast<long>(begin),
+                               live[i].begin() + static_cast<long>(end)),
+            &req);
         ChargeBatchEnvelope(&metrics_, span);
       }
-      group.push_back(providers_[p]);
+      round.push_back(group[i]);
       requests.push_back(std::move(req));
       spans.push_back(span);
     }
     fanout_rounds_.fetch_add(1, std::memory_order_relaxed);
-    Network::FanOutResult fan = network_->CallManyDistinct(group, requests);
+    Network::FanOutResult fan = network_->CallManyDistinct(round, requests);
     for (size_t i = 0; i < fan.responses.size(); ++i) {
       if (!fan.responses[i].ok()) return fan.responses[i].status();
       Decoder dec(Slice(*fan.responses[i]));
@@ -421,6 +401,23 @@ Status DataSourceClient::CallAllBatched(
     }
   }
   return Status::OK();
+}
+
+template <typename Fn>
+auto DataSourceClient::Metered(const RequestContext& ctx, Fn fn) {
+  if (ctx.tenant.empty()) return fn();
+  const ChannelStats before = network_->TotalStats();
+  const uint64_t clock_before = network_->clock().now_us();
+  const uint64_t rounds_before = fanout_rounds_.load(std::memory_order_relaxed);
+  auto result = fn();
+  if (result.ok()) {
+    const ChannelStats after = network_->TotalStats();
+    ChargeMeter(ctx.tenant, 1, after.bytes_sent - before.bytes_sent,
+                after.bytes_received - before.bytes_received,
+                fanout_rounds_.load(std::memory_order_relaxed) - rounds_before,
+                network_->clock().now_us() - clock_before);
+  }
+  return result;
 }
 
 // --- Kill/restart recovery ------------------------------------------------------
@@ -443,60 +440,31 @@ size_t DataSourceClient::pending_resync_ops(size_t network_index) const {
 }
 
 Status DataSourceClient::ResyncProvider(size_t network_index) {
-  std::vector<Buffer> queued;
+  std::vector<std::vector<Buffer>> queued(1);  // the one provider's ops
   {
     std::lock_guard<std::mutex> lock(outage_mu_);
     if (out_providers_.erase(network_index) == 0) return Status::OK();
     auto it = pending_resync_.find(network_index);
     if (it != pending_resync_.end()) {
-      queued = std::move(it->second);
+      queued[0] = std::move(it->second);
       pending_resync_.erase(it);
     }
   }
 
   const uint64_t start_us = network_->clock().now_us();
   // Ship the missed writes in their original order, re-chunked into batch
-  // envelopes exactly like a bulk load (a lone op travels unwrapped).
-  const size_t max_ops = std::max<size_t>(options_.batch_max_ops, 1);
-  for (size_t begin = 0; begin < queued.size(); begin += max_ops) {
-    const size_t end = std::min(queued.size(), begin + max_ops);
-    const size_t span = end - begin;
-    Buffer req;
-    if (span == 1) {
-      req.Append(queued[begin].AsSlice());
-    } else {
-      std::vector<Slice> slices;
-      slices.reserve(span);
-      for (size_t i = begin; i < end; ++i) slices.push_back(queued[i].AsSlice());
-      EncodeBatchRequest(slices, &req);
-      ChargeBatchEnvelope(&metrics_, span);
-    }
-    SSDB_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
-                          network_->Call(network_index, req.AsSlice()));
-    Decoder dec{Slice(response)};
-    SSDB_RETURN_IF_ERROR(DecodeResponseHeader(&dec));
-    if (span > 1) {
-      std::vector<Slice> subs;
-      SSDB_RETURN_IF_ERROR(DecodeBatchResponsePayload(&dec, &subs));
-      if (subs.size() != span) {
-        return Status::Corruption("client: resync response arity mismatch");
-      }
-      for (const Slice& sub : subs) {
-        Decoder sub_dec(sub);
-        SSDB_RETURN_IF_ERROR(DecodeResponseHeader(&sub_dec));
-      }
-    }
-  }
-
-  if (!queued.empty()) {
+  // envelopes exactly like a bulk load.
+  SSDB_RETURN_IF_ERROR(SendWrites({network_index}, queued));
+  const size_t ops = queued[0].size();
+  if (ops != 0) {
     metrics_
         .GetCounter("ssdb_recovery_resync_ops_total",
                     {{"provider", std::to_string(network_index)}})
-        ->Inc(queued.size());
+        ->Inc(ops);
   }
   tracer_.AddSpan("resync provider " + std::to_string(network_index),
                   "recovery", start_us, network_->clock().now_us() - start_us,
-                  0, {{"ops", std::to_string(queued.size())}});
+                  0, {{"ops", std::to_string(ops)}});
   return Status::OK();
 }
 
@@ -545,7 +513,7 @@ Status DataSourceClient::CreateTable(TableSchema schema) {
 
   Buffer req;
   EncodeCreateTable(info.id, info.layout, &req);
-  SSDB_RETURN_IF_ERROR(CallAllSame(req));
+  SSDB_RETURN_IF_ERROR(SendWrites(providers_, OneEach(req, providers_.size())));
   const std::string name = info.schema.table_name;
   tables_.emplace(name, std::move(info));
   return Status::OK();
@@ -561,69 +529,44 @@ Result<const TableSchema*> DataSourceClient::GetSchema(
 }
 
 Status DataSourceClient::Insert(const std::string& table,
-                                const std::vector<std::vector<Value>>& rows) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    return Status::NotFound("client: unknown table '" + table + "'");
-  }
-  TableInfo& info = it->second;
-
-  if (options_.lazy_updates) {
-    for (const auto& row : rows) {
-      SSDB_RETURN_IF_ERROR(info.schema.ValidateRow(row));
-      LazyOp op;
-      op.kind = LazyOp::Kind::kInsert;
-      op.table = table;
-      op.row_id = info.next_row_id++;
-      op.row = row;
-      SSDB_ASSIGN_OR_RETURN(op.shard, ShardOfRow(info, row));
-      SSDB_RETURN_IF_ERROR(AppendLazy(std::move(op)));
-    }
-    return Status::OK();
-  }
-
-  // Eager: one batched insert message per provider; a row's shares go
-  // only to its owning shard group, all groups in one fan-out round.
-  const size_t n_per = topology_.providers_per_shard;
-  std::vector<std::vector<StoredRow>> per_provider(providers_.size());
-  for (const auto& row : rows) {
-    const uint64_t row_id = info.next_row_id++;
-    SSDB_ASSIGN_OR_RETURN(size_t shard, ShardOfRow(info, row));
-    SSDB_ASSIGN_OR_RETURN(std::vector<StoredRow> shares,
-                          BuildShareRows(&info, row_id, row));
-    for (size_t p = 0; p < n_per; ++p) {
-      per_provider[shard * n_per + p].push_back(std::move(shares[p]));
-    }
-  }
-  std::vector<size_t> group;
-  std::vector<Buffer> requests;
-  for (size_t g = 0; g < providers_.size(); ++g) {
-    if (topology_.shards > 1 && per_provider[g].empty()) continue;
-    Buffer req;
-    EncodeInsertRows(info.id, info.layout, per_provider[g], &req);
-    group.push_back(providers_[g]);
-    requests.push_back(std::move(req));
-  }
-  return CallGroup(group, requests);
-}
-
-Status DataSourceClient::Insert(const std::string& table,
                                 const std::vector<std::vector<Value>>& rows,
                                 const RequestContext& ctx) {
-  if (ctx.tenant.empty()) return Insert(table, rows);
-  const ChannelStats before = network_->TotalStats();
-  const uint64_t clock_before = network_->clock().now_us();
-  const uint64_t rounds_before =
-      fanout_rounds_.load(std::memory_order_relaxed);
-  const Status st = Insert(table, rows);
-  if (st.ok()) {
-    const ChannelStats after = network_->TotalStats();
-    ChargeMeter(ctx.tenant, 1, after.bytes_sent - before.bytes_sent,
-                after.bytes_received - before.bytes_received,
-                fanout_rounds_.load(std::memory_order_relaxed) - rounds_before,
-                network_->clock().now_us() - clock_before);
-  }
-  return st;
+  return Metered(ctx, [&]() -> Status {
+    auto it = tables_.find(table);
+    if (it == tables_.end()) {
+      return Status::NotFound("client: unknown table '" + table + "'");
+    }
+    TableInfo& info = it->second;
+
+    if (options_.lazy_updates) {
+      for (const auto& row : rows) {
+        SSDB_RETURN_IF_ERROR(info.schema.ValidateRow(row));
+        LazyOp op;
+        op.kind = LazyOp::Kind::kInsert;
+        op.table = table;
+        op.row_id = info.next_row_id++;
+        op.row = row;
+        SSDB_ASSIGN_OR_RETURN(op.shard, ShardOfRow(info, row));
+        SSDB_RETURN_IF_ERROR(AppendLazy(std::move(op)));
+      }
+      return Status::OK();
+    }
+
+    // Eager: one insert message per provider; a row's shares go only to
+    // its owning shard group, all groups in one write round.
+    std::vector<std::vector<StoredRow>> per_provider(providers_.size());
+    for (const auto& row : rows) {
+      const uint64_t row_id = info.next_row_id++;
+      SSDB_ASSIGN_OR_RETURN(size_t shard, ShardOfRow(info, row));
+      SSDB_ASSIGN_OR_RETURN(std::vector<StoredRow> shares,
+                            BuildShareRows(&info, row_id, row));
+      AddShareRows(shard, std::move(shares), &per_provider);
+    }
+    std::vector<std::vector<Buffer>> ops(providers_.size());
+    AppendRowOps(EncodeInsertRows, info.id, info.layout, per_provider,
+                 topology_.shards > 1, &ops);
+    return SendWrites(providers_, ops);
+  });
 }
 
 Status DataSourceClient::BulkLoad(
@@ -637,8 +580,8 @@ Status DataSourceClient::BulkLoad(
 
   // Shard assignment first (row ids run in input order), then each
   // group's run is cut into kInsertRows chunks of at most batch_max_ops
-  // rows; CallAllBatched ships round r of every shard group in one
-  // parallel envelope round. Sharing is CPU-bound client side.
+  // rows; SendWrites ships round r of every shard group in one parallel
+  // envelope round. Sharing is CPU-bound client side.
   const size_t chunk_rows = std::max<size_t>(options_.batch_max_ops, 1);
   const size_t n_per = topology_.providers_per_shard;
   std::vector<std::vector<std::pair<uint64_t, size_t>>> shard_rows(
@@ -670,7 +613,7 @@ Status DataSourceClient::BulkLoad(
       }
     }
   }
-  return CallAllBatched(per_provider_ops);
+  return SendWrites(providers_, per_provider_ops);
 }
 
 // --- Query rewriting (§V.A) -----------------------------------------------------
@@ -987,6 +930,17 @@ Result<QueryResult> DataSourceClient::Execute(const std::string& sql,
 std::vector<Result<QueryResult>> DataSourceClient::ExecuteBatch(
     const std::vector<Query>& queries,
     const std::vector<RequestContext>& ctxs) {
+  return RunBatch(queries, ctxs);
+}
+
+std::vector<Result<QueryResult>> DataSourceClient::ExecuteBatch(
+    const std::vector<JoinQuery>& joins) {
+  return RunBatch(joins, {});
+}
+
+template <typename Q>
+std::vector<Result<QueryResult>> DataSourceClient::RunBatch(
+    const std::vector<Q>& queries, const std::vector<RequestContext>& ctxs) {
   std::vector<Result<QueryResult>> out(
       queries.size(),
       Result<QueryResult>(Status::Internal("batch query not run")));
@@ -1020,8 +974,9 @@ std::vector<Result<QueryResult>> DataSourceClient::ExecuteBatch(
   }
 
   // Coalescing path: plan every query up front, then let the executor
-  // fuse compatible point fan-outs into batch envelopes (one round trip
-  // per chunk of batch_max_ops queries per provider).
+  // fuse compatible point fan-outs and join share fetches into batch
+  // envelopes (one round trip per chunk of batch_max_ops queries per
+  // provider).
   Planner planner(this);
   std::vector<QueryPlan> plans;
   plans.reserve(queries.size());
@@ -1053,86 +1008,52 @@ std::vector<Result<QueryResult>> DataSourceClient::ExecuteBatch(
   return out;
 }
 
-std::vector<Result<QueryResult>> DataSourceClient::ExecuteBatch(
-    const std::vector<JoinQuery>& joins) {
-  std::vector<Result<QueryResult>> out(
-      joins.size(),
-      Result<QueryResult>(Status::Internal("batch join not run")));
-  if (joins.empty()) return out;
-
-  if (!lazy_log_.empty()) {
-    const Status st = Flush();
-    if (!st.ok()) {
-      for (auto& slot : out) slot = st;
-      return out;
-    }
-  }
-
-  if (options_.batch_max_ops < 2) {
-    network_->pool().ParallelFor(joins.size(), [&](size_t i) {
-      out[i] = Execute(joins[i]);
-    });
-    return out;
-  }
-
-  // Coalescing path: the joins' share fetches batch per provider.
-  Planner planner(this);
-  std::vector<QueryPlan> plans;
-  plans.reserve(joins.size());
-  std::vector<size_t> plan_slots;
-  for (size_t i = 0; i < joins.size(); ++i) {
-    cm_.queries->Inc();
-    Result<QueryPlan> plan = planner.Plan(joins[i]);
-    if (!plan.ok()) {
-      out[i] = plan.status();
-      continue;
-    }
-    plans.push_back(std::move(*plan));
-    plan_slots.push_back(i);
-  }
-  std::vector<const QueryPlan*> plan_ptrs;
-  plan_ptrs.reserve(plans.size());
-  for (const QueryPlan& p : plans) plan_ptrs.push_back(&p);
-  Executor executor(this);
-  std::vector<Result<QueryResult>> results = executor.ExecuteBatch(plan_ptrs);
-  for (size_t j = 0; j < results.size(); ++j) {
-    out[plan_slots[j]] = std::move(results[j]);
-  }
-  return out;
-}
-
 // --- Updates (§V.C) ---------------------------------------------------------------
 
 Result<uint64_t> DataSourceClient::Update(const std::string& table,
                                           const std::vector<Predicate>& where,
                                           const std::string& set_column,
-                                          const Value& value) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    return Status::NotFound("client: unknown table '" + table + "'");
-  }
-  TableInfo& info = it->second;
-  SSDB_ASSIGN_OR_RETURN(size_t set_idx, info.schema.ColumnIndex(set_column));
-  SSDB_ASSIGN_OR_RETURN(int64_t check,
-                        info.schema.columns[set_idx].EncodeToCode(value));
-  (void)check;
+                                          const Value& value,
+                                          const RequestContext& ctx) {
+  return Metered(ctx, [&]() -> Result<uint64_t> {
+    auto it = tables_.find(table);
+    if (it == tables_.end()) {
+      return Status::NotFound("client: unknown table '" + table + "'");
+    }
+    TableInfo& info = it->second;
+    SSDB_ASSIGN_OR_RETURN(size_t set_idx,
+                          info.schema.ColumnIndex(set_column));
+    SSDB_ASSIGN_OR_RETURN(int64_t check,
+                          info.schema.columns[set_idx].EncodeToCode(value));
+    (void)check;
 
-  // Read-reconstruct phase (merged with any pending client-side ops).
-  Query q = Query::Select(table);
-  for (const Predicate& p : where) q.Where(p);
-  SSDB_ASSIGN_OR_RETURN(QueryResult matched, Execute(q));
+    // Read-reconstruct phase (merged with any pending client-side ops).
+    Query q = Query::Select(table);
+    for (const Predicate& p : where) q.Where(p);
+    SSDB_ASSIGN_OR_RETURN(QueryResult matched, Execute(q));
 
-  uint64_t updated = 0;
-  if (options_.lazy_updates) {
+    uint64_t updated = 0;
+    std::vector<std::vector<StoredRow>> per_provider(providers_.size());
     for (size_t i = 0; i < matched.rows.size(); ++i) {
       std::vector<Value> new_row = matched.rows[i];
       new_row[set_idx] = value;
+      // A row is reshared on its owning shard group; updates that would
+      // move the partition key across groups are rejected.
       SSDB_ASSIGN_OR_RETURN(size_t shard, ShardOfRow(info, matched.rows[i]));
       SSDB_ASSIGN_OR_RETURN(size_t new_shard, ShardOfRow(info, new_row));
       if (new_shard != shard) {
         return Status::NotSupported(
             "client: UPDATE would move the partition key to another shard "
             "group; DELETE and re-INSERT instead");
+      }
+      ++updated;
+      if (!options_.lazy_updates) {
+        // Eager reshare: fresh polynomials for every updated row (§V.C).
+        SSDB_ASSIGN_OR_RETURN(
+            std::vector<StoredRow> shares,
+            BuildShareRows(&info, matched.row_ids[i], new_row));
+        AddShareRows(shard, std::move(shares), &per_provider);
+        continue;
       }
       // Coalesce with a pending op on the same row if present.
       bool coalesced = false;
@@ -1153,85 +1074,41 @@ Result<uint64_t> DataSourceClient::Update(const std::string& table,
         op.shard = shard;
         SSDB_RETURN_IF_ERROR(AppendLazy(std::move(op)));
       }
-      ++updated;
     }
+    if (options_.lazy_updates || updated == 0) return updated;
+    std::vector<std::vector<Buffer>> ops(providers_.size());
+    AppendRowOps(EncodeUpdateRows, info.id, info.layout, per_provider,
+                 topology_.shards > 1, &ops);
+    SSDB_RETURN_IF_ERROR(SendWrites(providers_, ops));
     return updated;
-  }
-
-  // Eager reshare: fresh polynomials for every updated row (§V.C). The
-  // reshare stays on the row's owning shard group; updates that would
-  // move the partition key across groups are rejected.
-  const size_t n_per = topology_.providers_per_shard;
-  std::vector<std::vector<StoredRow>> per_provider(providers_.size());
-  for (size_t i = 0; i < matched.rows.size(); ++i) {
-    std::vector<Value> new_row = matched.rows[i];
-    new_row[set_idx] = value;
-    SSDB_ASSIGN_OR_RETURN(size_t shard, ShardOfRow(info, matched.rows[i]));
-    SSDB_ASSIGN_OR_RETURN(size_t new_shard, ShardOfRow(info, new_row));
-    if (new_shard != shard) {
-      return Status::NotSupported(
-          "client: UPDATE would move the partition key to another shard "
-          "group; DELETE and re-INSERT instead");
-    }
-    SSDB_ASSIGN_OR_RETURN(
-        std::vector<StoredRow> shares,
-        BuildShareRows(&info, matched.row_ids[i], new_row));
-    for (size_t p = 0; p < n_per; ++p) {
-      per_provider[shard * n_per + p].push_back(std::move(shares[p]));
-    }
-    ++updated;
-  }
-  if (updated == 0) return updated;
-  std::vector<size_t> group;
-  std::vector<Buffer> requests;
-  for (size_t g = 0; g < providers_.size(); ++g) {
-    if (topology_.shards > 1 && per_provider[g].empty()) continue;
-    Buffer req;
-    EncodeUpdateRows(info.id, info.layout, per_provider[g], &req);
-    group.push_back(providers_[g]);
-    requests.push_back(std::move(req));
-  }
-  SSDB_RETURN_IF_ERROR(CallGroup(group, requests));
-  return updated;
-}
-
-Result<uint64_t> DataSourceClient::Update(const std::string& table,
-                                          const std::vector<Predicate>& where,
-                                          const std::string& set_column,
-                                          const Value& value,
-                                          const RequestContext& ctx) {
-  if (ctx.tenant.empty()) return Update(table, where, set_column, value);
-  const ChannelStats before = network_->TotalStats();
-  const uint64_t clock_before = network_->clock().now_us();
-  const uint64_t rounds_before =
-      fanout_rounds_.load(std::memory_order_relaxed);
-  Result<uint64_t> r = Update(table, where, set_column, value);
-  if (r.ok()) {
-    const ChannelStats after = network_->TotalStats();
-    ChargeMeter(ctx.tenant, 1, after.bytes_sent - before.bytes_sent,
-                after.bytes_received - before.bytes_received,
-                fanout_rounds_.load(std::memory_order_relaxed) - rounds_before,
-                network_->clock().now_us() - clock_before);
-  }
-  return r;
+  });
 }
 
 Result<uint64_t> DataSourceClient::Delete(const std::string& table,
-                                          const std::vector<Predicate>& where) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    return Status::NotFound("client: unknown table '" + table + "'");
-  }
-  TableInfo& info = it->second;
+                                          const std::vector<Predicate>& where,
+                                          const RequestContext& ctx) {
+  return Metered(ctx, [&]() -> Result<uint64_t> {
+    auto it = tables_.find(table);
+    if (it == tables_.end()) {
+      return Status::NotFound("client: unknown table '" + table + "'");
+    }
+    TableInfo& info = it->second;
 
-  Query q = Query::Select(table);
-  for (const Predicate& p : where) q.Where(p);
-  SSDB_ASSIGN_OR_RETURN(QueryResult matched, Execute(q));
-  if (matched.row_ids.empty()) return static_cast<uint64_t>(0);
+    Query q = Query::Select(table);
+    for (const Predicate& p : where) q.Where(p);
+    SSDB_ASSIGN_OR_RETURN(QueryResult matched, Execute(q));
+    const uint64_t deleted = matched.row_ids.size();
 
-  if (options_.lazy_updates) {
+    // Sharded deletes tell each group only about the row ids it stores (a
+    // provider rejects deletes of ids it never held).
+    std::vector<std::vector<uint64_t>> shard_ids(topology_.shards);
     for (size_t i = 0; i < matched.row_ids.size(); ++i) {
       const uint64_t id = matched.row_ids[i];
+      SSDB_ASSIGN_OR_RETURN(size_t shard, ShardOfRow(info, matched.rows[i]));
+      if (!options_.lazy_updates) {
+        shard_ids[shard].push_back(id);
+        continue;
+      }
       // A pending insert/update of this row is simply dropped.
       bool was_pending_insert = false;
       for (auto op_it = lazy_log_.begin(); op_it != lazy_log_.end();) {
@@ -1247,62 +1124,16 @@ Result<uint64_t> DataSourceClient::Delete(const std::string& table,
         op.kind = LazyOp::Kind::kDelete;
         op.table = table;
         op.row_id = id;
-        SSDB_ASSIGN_OR_RETURN(op.shard, ShardOfRow(info, matched.rows[i]));
+        op.shard = shard;
         SSDB_RETURN_IF_ERROR(AppendLazy(std::move(op)));
       }
     }
-    return static_cast<uint64_t>(matched.row_ids.size());
-  }
-
-  if (topology_.shards <= 1) {
-    Buffer req;
-    EncodeDeleteRows(info.id, matched.row_ids, &req);
-    SSDB_RETURN_IF_ERROR(CallAllSame(req));
-    return static_cast<uint64_t>(matched.row_ids.size());
-  }
-
-  // Sharded delete: each group is told only about the row ids it stores
-  // (a provider rejects deletes of ids it never held), one fan-out round
-  // across all affected groups.
-  std::vector<std::vector<uint64_t>> shard_ids(topology_.shards);
-  for (size_t i = 0; i < matched.row_ids.size(); ++i) {
-    SSDB_ASSIGN_OR_RETURN(size_t shard, ShardOfRow(info, matched.rows[i]));
-    shard_ids[shard].push_back(matched.row_ids[i]);
-  }
-  std::vector<size_t> group;
-  std::vector<Buffer> requests;
-  for (size_t s = 0; s < topology_.shards; ++s) {
-    if (shard_ids[s].empty()) continue;
-    Buffer req;
-    EncodeDeleteRows(info.id, shard_ids[s], &req);
-    for (size_t p : shard_providers_[s]) {
-      group.push_back(p);
-      Buffer copy;
-      copy.Append(req.AsSlice());
-      requests.push_back(std::move(copy));
-    }
-  }
-  SSDB_RETURN_IF_ERROR(CallGroup(group, requests));
-  return static_cast<uint64_t>(matched.row_ids.size());
-}
-
-Result<uint64_t> DataSourceClient::Delete(const std::string& table,
-                                          const std::vector<Predicate>& where,
-                                          const RequestContext& ctx) {
-  if (ctx.tenant.empty()) return Delete(table, where);
-  const ChannelStats before = network_->TotalStats();
-  const uint64_t clock_before = network_->clock().now_us();
-  const uint64_t rounds_before =
-      fanout_rounds_.load(std::memory_order_relaxed);
-  Result<uint64_t> r = Delete(table, where);
-  if (r.ok()) {
-    const ChannelStats after = network_->TotalStats();
-    ChargeMeter(ctx.tenant, 1, after.bytes_sent - before.bytes_sent,
-                after.bytes_received - before.bytes_received,
-                fanout_rounds_.load(std::memory_order_relaxed) - rounds_before,
-                network_->clock().now_us() - clock_before);
-  }
-  return r;
+    if (options_.lazy_updates) return deleted;
+    std::vector<std::vector<Buffer>> ops(providers_.size());
+    AppendDeleteOps(info.id, shard_ids, topology_.providers_per_shard, &ops);
+    SSDB_RETURN_IF_ERROR(SendWrites(providers_, ops));
+    return deleted;
+  });
 }
 
 Status DataSourceClient::AppendLazy(LazyOp op) {
@@ -1347,122 +1178,45 @@ Status DataSourceClient::Flush() {
     }
   }
 
-  // Build batched per-table, per-provider messages. With coalescing
-  // enabled every table's insert/update/delete messages are collected and
-  // shipped as ONE envelope round per provider instead of up to three
-  // sequential rounds per table.
-  const bool coalesce = options_.batch_max_ops >= 2;
-  const size_t n_per = topology_.providers_per_shard;
-  const bool sharded = topology_.shards > 1;
-  // With shard groups, a provider's slot holds only its group's rows;
-  // providers with nothing to do for a message kind are skipped entirely.
+  // Each provider's ops are, per table, one insert, one update and one
+  // delete message (kinds without rows are left out), and the whole log
+  // ships in SendWrites rounds of batch_max_ops ops per provider.
   auto any_rows = [](const std::vector<std::vector<StoredRow>>& v) {
     for (const auto& rows : v) {
       if (!rows.empty()) return true;
     }
     return false;
   };
+  const bool sharded = topology_.shards > 1;
   std::vector<std::vector<Buffer>> flush_ops(providers_.size());
   for (auto& [table_name, info] : tables_) {
     std::vector<std::vector<StoredRow>> inserts(providers_.size());
     std::vector<std::vector<StoredRow>> updates(providers_.size());
     std::vector<std::vector<uint64_t>> deletes(topology_.shards);
-    bool any_deletes = false;
     for (auto& [key, final_op] : final_ops) {
       if (key.first != table_name) continue;
-      switch (final_op.kind) {
-        case LazyOp::Kind::kInsert: {
-          SSDB_ASSIGN_OR_RETURN(
-              std::vector<StoredRow> shares,
-              BuildShareRows(&info, key.second, final_op.row));
-          for (size_t p = 0; p < n_per; ++p) {
-            inserts[final_op.shard * n_per + p].push_back(
-                std::move(shares[p]));
-          }
-          break;
-        }
-        case LazyOp::Kind::kUpdate: {
-          SSDB_ASSIGN_OR_RETURN(
-              std::vector<StoredRow> shares,
-              BuildShareRows(&info, key.second, final_op.row));
-          for (size_t p = 0; p < n_per; ++p) {
-            updates[final_op.shard * n_per + p].push_back(
-                std::move(shares[p]));
-          }
-          break;
-        }
-        case LazyOp::Kind::kDelete:
-          deletes[final_op.shard].push_back(key.second);
-          any_deletes = true;
-          break;
+      if (final_op.kind == LazyOp::Kind::kDelete) {
+        deletes[final_op.shard].push_back(key.second);
+        continue;
       }
+      SSDB_ASSIGN_OR_RETURN(std::vector<StoredRow> shares,
+                            BuildShareRows(&info, key.second, final_op.row));
+      AddShareRows(final_op.shard, std::move(shares),
+                   final_op.kind == LazyOp::Kind::kInsert ? &inserts
+                                                          : &updates);
     }
     if (any_rows(inserts)) {
-      if (coalesce) {
-        for (size_t g = 0; g < providers_.size(); ++g) {
-          if (sharded && inserts[g].empty()) continue;
-          Buffer msg;
-          EncodeInsertRows(info.id, info.layout, inserts[g], &msg);
-          flush_ops[g].push_back(std::move(msg));
-        }
-      } else {
-        std::vector<size_t> group;
-        std::vector<Buffer> reqs;
-        for (size_t g = 0; g < providers_.size(); ++g) {
-          if (sharded && inserts[g].empty()) continue;
-          Buffer req;
-          EncodeInsertRows(info.id, info.layout, inserts[g], &req);
-          group.push_back(providers_[g]);
-          reqs.push_back(std::move(req));
-        }
-        SSDB_RETURN_IF_ERROR(CallGroup(group, reqs));
-      }
+      AppendRowOps(EncodeInsertRows, info.id, info.layout, inserts, sharded,
+                   &flush_ops);
     }
     if (any_rows(updates)) {
-      if (coalesce) {
-        for (size_t g = 0; g < providers_.size(); ++g) {
-          if (sharded && updates[g].empty()) continue;
-          Buffer msg;
-          EncodeUpdateRows(info.id, info.layout, updates[g], &msg);
-          flush_ops[g].push_back(std::move(msg));
-        }
-      } else {
-        std::vector<size_t> group;
-        std::vector<Buffer> reqs;
-        for (size_t g = 0; g < providers_.size(); ++g) {
-          if (sharded && updates[g].empty()) continue;
-          Buffer req;
-          EncodeUpdateRows(info.id, info.layout, updates[g], &req);
-          group.push_back(providers_[g]);
-          reqs.push_back(std::move(req));
-        }
-        SSDB_RETURN_IF_ERROR(CallGroup(group, reqs));
-      }
+      AppendRowOps(EncodeUpdateRows, info.id, info.layout, updates, sharded,
+                   &flush_ops);
     }
-    if (any_deletes) {
-      std::vector<size_t> group;
-      std::vector<Buffer> reqs;
-      for (size_t s = 0; s < topology_.shards; ++s) {
-        if (deletes[s].empty()) continue;
-        Buffer req;
-        EncodeDeleteRows(info.id, deletes[s], &req);
-        for (size_t p = 0; p < n_per; ++p) {
-          if (coalesce) {
-            Buffer msg;
-            msg.Append(req.AsSlice());
-            flush_ops[s * n_per + p].push_back(std::move(msg));
-          } else {
-            group.push_back(shard_providers_[s][p]);
-            Buffer copy;
-            copy.Append(req.AsSlice());
-            reqs.push_back(std::move(copy));
-          }
-        }
-      }
-      if (!coalesce) SSDB_RETURN_IF_ERROR(CallGroup(group, reqs));
-    }
+    AppendDeleteOps(info.id, deletes, topology_.providers_per_shard,
+                    &flush_ops);
   }
-  if (coalesce) SSDB_RETURN_IF_ERROR(CallAllBatched(flush_ops));
+  SSDB_RETURN_IF_ERROR(SendWrites(providers_, flush_ops));
   lazy_log_.clear();
   return Status::OK();
 }
@@ -1483,7 +1237,8 @@ Status DataSourceClient::RefreshTable(const std::string& table) {
   // before reads that mix refreshed and stale providers reconstruct.
   Buffer probe;
   EncodeTableStats(info.id, &probe);
-  SSDB_RETURN_IF_ERROR(CallAllSame(probe));
+  SSDB_RETURN_IF_ERROR(
+      SendWrites(providers_, OneEach(probe, providers_.size())));
 
   // Fetch each shard group's row id set from that group's read quorum,
   // then ship fresh zero-shares per (row, column). Every provider of a
@@ -1497,8 +1252,7 @@ Status DataSourceClient::RefreshTable(const std::string& table) {
   EncodeQuery(idq, &id_request);
   std::vector<std::vector<RefreshDelta>> per_provider(providers_.size());
   for (size_t s = 0; s < topology_.shards; ++s) {
-    std::vector<Buffer> requests(n_per);
-    for (auto& b : requests) b.Append(id_request.AsSlice());
+    const std::vector<Buffer> requests(n_per, id_request);
     SSDB_ASSIGN_OR_RETURN(
         std::vector<Executor::ProviderResponse> responses,
         Executor::CallQuorum(network_, shard_providers_[s], requests,
@@ -1531,11 +1285,12 @@ Status DataSourceClient::RefreshTable(const std::string& table) {
       }
     }
   }
-  std::vector<Buffer> refresh_requests(providers_.size());
+  std::vector<std::vector<Buffer>> ops(providers_.size(),
+                                       std::vector<Buffer>(1));
   for (size_t g = 0; g < providers_.size(); ++g) {
-    EncodeRefreshRows(info.id, per_provider[g], &refresh_requests[g]);
+    EncodeRefreshRows(info.id, per_provider[g], &ops[g][0]);
   }
-  return CallAll(refresh_requests);
+  return SendWrites(providers_, ops);
 }
 
 Result<bool> DataSourceClient::MatchesPlain(
@@ -1653,10 +1408,12 @@ Status DataSourceClient::PublishPublicTable(
   Buffer create;
   EncodeCreatePublicTable(info.id,
                           static_cast<uint32_t>(info.columns.size()), &create);
-  SSDB_RETURN_IF_ERROR(CallAllSame(create));
+  SSDB_RETURN_IF_ERROR(
+      SendWrites(providers_, OneEach(create, providers_.size())));
   Buffer insert;
   EncodeInsertPublicRows(info.id, rows, &insert);
-  SSDB_RETURN_IF_ERROR(CallAllSame(insert));
+  SSDB_RETURN_IF_ERROR(
+      SendWrites(providers_, OneEach(insert, providers_.size())));
   public_tables_.emplace(name, std::move(info));
   return Status::OK();
 }
@@ -1704,7 +1461,6 @@ Status DataSourceClient::SubscribePublicColumn(const std::string& name,
   // Public tables replicate to every provider; a provider's index uses
   // its within-group evaluation position (p mod providers_per_shard).
   const size_t n_per = topology_.providers_per_shard;
-  std::vector<Buffer> requests(providers_.size());
   std::vector<std::vector<ShareIndexEntry>> entries(providers_.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     SSDB_ASSIGN_OR_RETURN(int64_t code, spec.EncodeToCode(rows[i][0]));
@@ -1720,11 +1476,13 @@ Status DataSourceClient::SubscribePublicColumn(const std::string& name,
       entries[p].push_back(e);
     }
   }
+  std::vector<std::vector<Buffer>> ops(providers_.size(),
+                                       std::vector<Buffer>(1));
   for (size_t p = 0; p < providers_.size(); ++p) {
     EncodeAttachShareIndex(info.id, static_cast<uint32_t>(col_idx),
-                           entries[p], &requests[p]);
+                           entries[p], &ops[p][0]);
   }
-  SSDB_RETURN_IF_ERROR(CallAll(requests));
+  SSDB_RETURN_IF_ERROR(SendWrites(providers_, ops));
   info.subscribed[col_idx] = true;
   return Status::OK();
 }

@@ -123,16 +123,15 @@ class DataSourceClient : private PlanHost {
   Status CreateTable(TableSchema schema);
 
   /// Inserts plaintext rows (shared and distributed; lazy mode buffers).
-  Status Insert(const std::string& table,
-                const std::vector<std::vector<Value>>& rows);
-  /// Metered insert: on success the whole call's network bytes, write
-  /// fan-out rounds and virtual-clock delta are charged to
-  /// `ctx.tenant`'s `ssdb_meter_*` series (plus the `_all` stratum).
-  /// Mutations run serialized (write barriers in the harness, sequential
-  /// shells), so the deltas are exactly this call's.
+  /// A non-empty `ctx.tenant` meters the call: on success its network
+  /// bytes, write rounds and virtual-clock delta are charged to the
+  /// tenant's `ssdb_meter_*` series (plus the `_all` stratum). Mutations
+  /// run serialized (write barriers in the harness, sequential shells),
+  /// so the deltas are exactly this call's. Update and Delete meter the
+  /// same way.
   Status Insert(const std::string& table,
                 const std::vector<std::vector<Value>>& rows,
-                const RequestContext& ctx);
+                const RequestContext& ctx = {});
 
   /// Initial outsourcing path: shares and ships `rows` in one batched
   /// envelope round per `batch_max_ops`-row chunk, bypassing the lazy
@@ -194,27 +193,23 @@ class DataSourceClient : private PlanHost {
   // --- Updates (§V.C) ----------------------------------------------------
 
   /// UPDATE table SET set_column = value WHERE predicates.
-  /// Returns the number of rows updated.
-  Result<uint64_t> Update(const std::string& table,
-                          const std::vector<Predicate>& where,
-                          const std::string& set_column, const Value& value);
-  /// Metered update (see the metered Insert overload): the read phase's
-  /// bytes and clock are part of the charge; meter rounds count the
-  /// write fan-out rounds only.
+  /// Returns the number of rows updated. Metered like Insert: the read
+  /// phase's bytes and clock are part of the charge, but meter rounds
+  /// count the write rounds only.
   Result<uint64_t> Update(const std::string& table,
                           const std::vector<Predicate>& where,
                           const std::string& set_column, const Value& value,
-                          const RequestContext& ctx);
+                          const RequestContext& ctx = {});
 
-  /// DELETE FROM table WHERE predicates. Returns rows deleted.
-  Result<uint64_t> Delete(const std::string& table,
-                          const std::vector<Predicate>& where);
-  /// Metered delete (see the metered Insert overload).
+  /// DELETE FROM table WHERE predicates. Returns rows deleted. Metered
+  /// like Update.
   Result<uint64_t> Delete(const std::string& table,
                           const std::vector<Predicate>& where,
-                          const RequestContext& ctx);
+                          const RequestContext& ctx = {});
 
-  /// Flushes the lazy write log (no-op when empty / eager mode).
+  /// Flushes the lazy write log (no-op when empty / eager mode): per
+  /// table, one insert, update and delete message per provider, all
+  /// shipped in one SendWrites call.
   Status Flush();
   size_t pending_lazy_ops() const override { return lazy_log_.size(); }
 
@@ -333,26 +328,25 @@ class DataSourceClient : private PlanHost {
   Result<size_t> ShardOfRow(const TableInfo& info,
                             const std::vector<Value>& row);
 
-  // Transport (writes / management; reads go through Executor::CallQuorum).
-  Status CallAll(const std::vector<Buffer>& requests);
-  Status CallAllSame(const Buffer& request);
-  /// One parallel fan-out round over an arbitrary provider subset;
-  /// requests[i] goes to network index `providers[i]`. CallAll is the
-  /// all-providers case.
-  Status CallGroup(const std::vector<size_t>& providers,
-                   const std::vector<Buffer>& requests);
-  Status CallGroupSame(const std::vector<size_t>& providers,
-                       const Buffer& request);
-  /// Sends `per_provider_ops[p]` to provider p, coalescing multiple
-  /// messages into batch envelopes of at most batch_max_ops sub-ops (one
-  /// round trip per envelope). Op counts may differ per provider (sharded
-  /// writes): round r carries ops [r*max, (r+1)*max) of each provider's
-  /// own list and providers with nothing left sit the round out. A
-  /// provider whose round slice is a single op receives it unwrapped
-  /// (identical bytes to CallAll). Fails on the first transport, envelope
-  /// or sub-response error.
-  Status CallAllBatched(
-      const std::vector<std::vector<Buffer>>& per_provider_ops);
+  /// The one write transport (reads go through Executor::CallQuorum):
+  /// sends `ops[i]`, in order, to network provider `group[i]`. Round r
+  /// carries each provider's r-th chunk of at most batch_max_ops ops as
+  /// one batch envelope, all providers in one parallel fan-out; a lone op
+  /// travels unwrapped and providers with nothing left sit the round out.
+  /// A killed provider's mutating ops queue for ResyncProvider instead
+  /// (its non-mutating ops still travel and fail Unavailable). Fails on
+  /// the first transport, envelope or sub-response error.
+  Status SendWrites(const std::vector<size_t>& group,
+                    const std::vector<std::vector<Buffer>>& ops);
+  /// Runs the mutation `fn`; for a non-empty `ctx.tenant` a successful
+  /// call is charged its network bytes, write rounds and clock delta.
+  template <typename Fn>
+  auto Metered(const RequestContext& ctx, Fn fn);
+  /// The body of both ExecuteBatch overloads (`ctxs` empty or one per
+  /// query).
+  template <typename Q>
+  std::vector<Result<QueryResult>> RunBatch(
+      const std::vector<Q>& queries, const std::vector<RequestContext>& ctxs);
 
   // Reconstruction.
   Result<Value> ReconstructColumn(const ColumnSpec& column,
@@ -451,9 +445,8 @@ class DataSourceClient : private PlanHost {
   /// Per-provider queue of missed mutating requests, in send order.
   std::map<size_t, std::vector<Buffer>> pending_resync_;
 
-  /// Write fan-out rounds issued so far (one per CallGroup fan-out, one
-  /// per CallAllBatched envelope round). Metered mutations read its delta
-  /// as their `rounds` charge.
+  /// Write rounds issued so far (one per SendWrites fan-out round).
+  /// Metered mutations read its delta as their `rounds` charge.
   std::atomic<uint64_t> fanout_rounds_{0};
 
   // Telemetry. The registry/tracer live here (one per deployment); the

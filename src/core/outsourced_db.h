@@ -102,15 +102,13 @@ class OutsourcedDatabase {
   Status CreateTable(TableSchema schema) {
     return client_->CreateTable(std::move(schema));
   }
-  Status Insert(const std::string& table,
-                const std::vector<std::vector<Value>>& rows) {
-    return client_->Insert(table, rows);
-  }
-  /// Metered insert: on success the call's bytes, write fan-out rounds
-  /// and clock delta are charged to ctx.tenant's `ssdb_meter_*` series.
+  /// A non-empty `ctx.tenant` meters the call: on success its bytes,
+  /// write rounds and clock delta are charged to the tenant's
+  /// `ssdb_meter_*` series. Update and Delete meter the same way (an
+  /// update's read phase is billed in bytes and clock, not rounds).
   Status Insert(const std::string& table,
                 const std::vector<std::vector<Value>>& rows,
-                const RequestContext& ctx) {
+                const RequestContext& ctx = {}) {
     return client_->Insert(table, rows, ctx);
   }
   /// Initial outsourcing: ships the rows in batched envelope rounds (one
@@ -169,25 +167,13 @@ class OutsourcedDatabase {
   }
   Result<uint64_t> Update(const std::string& table,
                           const std::vector<Predicate>& where,
-                          const std::string& set_column, const Value& value) {
-    return client_->Update(table, where, set_column, value);
-  }
-  /// Metered update (read phase billed in bytes/clock; rounds count the
-  /// write fan-out only).
-  Result<uint64_t> Update(const std::string& table,
-                          const std::vector<Predicate>& where,
                           const std::string& set_column, const Value& value,
-                          const RequestContext& ctx) {
+                          const RequestContext& ctx = {}) {
     return client_->Update(table, where, set_column, value, ctx);
   }
   Result<uint64_t> Delete(const std::string& table,
-                          const std::vector<Predicate>& where) {
-    return client_->Delete(table, where);
-  }
-  /// Metered delete.
-  Result<uint64_t> Delete(const std::string& table,
                           const std::vector<Predicate>& where,
-                          const RequestContext& ctx) {
+                          const RequestContext& ctx = {}) {
     return client_->Delete(table, where, ctx);
   }
   Status Flush() { return client_->Flush(); }

@@ -216,27 +216,6 @@ Result<std::vector<uint8_t>> Network::CallUnclocked(size_t provider,
   return result;
 }
 
-Network::FanOutResult Network::CallMany(const std::vector<size_t>& providers,
-                                        Slice request, uint64_t deadline_us) {
-  const size_t n = providers.size();
-  FanOutResult out;
-  out.responses.assign(
-      n, Result<std::vector<uint8_t>>(Status::Internal("fan-out leg not run")));
-  out.legs.assign(n, CallTrace());
-  pool().ParallelFor(n, [&](size_t i) {
-    out.responses[i] =
-        CallNoClock(providers[i], request, &out.legs[i], deadline_us);
-  });
-  // The legs ran in parallel: the slowest one dominates the round trip.
-  uint64_t slowest = 0;
-  for (const CallTrace& leg : out.legs) {
-    slowest = std::max(slowest, leg.elapsed_us);
-  }
-  out.clock_advance_us = slowest;
-  clock_.Advance(slowest);
-  return out;
-}
-
 Network::FanOutResult Network::CallManyDistinct(
     const std::vector<size_t>& providers, const std::vector<Buffer>& requests,
     uint64_t deadline_us) {
@@ -250,6 +229,7 @@ Network::FanOutResult Network::CallManyDistinct(
     out.responses[i] =
         CallNoClock(providers[i], req, &out.legs[i], deadline_us);
   });
+  // The legs ran in parallel: the slowest one dominates the round trip.
   uint64_t slowest = 0;
   for (const CallTrace& leg : out.legs) {
     slowest = std::max(slowest, leg.elapsed_us);

@@ -114,7 +114,7 @@ struct ChannelStats {
 
 /// \brief The network: n provider links plus a virtual clock.
 ///
-/// Fan-out calls (CallMany / CallManyDistinct) dispatch each leg to a
+/// Fan-out calls (CallManyDistinct) dispatch each leg to a
 /// worker of an internal ThreadPool, so wall-clock tracks the slowest leg
 /// instead of the sum — matching the virtual-clock model the paper's §V.A
 /// cost argument assumes. Per-link failure state, statistics and the
@@ -166,10 +166,8 @@ class Network {
     std::vector<CallTrace> legs;
     uint64_t clock_advance_us = 0;
   };
-  FanOutResult CallMany(const std::vector<size_t>& providers, Slice request,
-                        uint64_t deadline_us = 0);
-  /// Fan-out with per-provider request payloads (the rewritten queries of
-  /// §V.A differ per provider).
+  /// `requests[i]` goes to `providers[i]` (the rewritten queries of §V.A
+  /// differ per provider).
   FanOutResult CallManyDistinct(const std::vector<size_t>& providers,
                                 const std::vector<Buffer>& requests,
                                 uint64_t deadline_us = 0);

@@ -249,9 +249,47 @@ void Executor::EmitNodeSpans(const QueryTrace& trace, uint64_t query_span,
   }
 }
 
-std::vector<Result<QueryResult>> Executor::ExecuteBatch(
-    const std::vector<const QueryPlan*>& plans) {
-  return ExecuteBatch(plans, {});
+Result<std::vector<std::vector<Executor::ProviderResponse>>>
+Executor::CallEnvelopes(const std::vector<size_t>& providers,
+                        const std::vector<const std::vector<Buffer>*>& items,
+                        size_t desired, size_t minimum,
+                        const std::vector<size_t>& order,
+                        PlanNodeTrace* trace) {
+  // The resilience layer treats each envelope as a single call (deadline,
+  // retries, hedging and the scoreboard all charge one request).
+  const size_t span = items.size();
+  std::vector<Buffer> envelopes(providers.size());
+  for (size_t p = 0; p < providers.size(); ++p) {
+    std::vector<Slice> ops;
+    ops.reserve(span);
+    for (const std::vector<Buffer>* item : items) {
+      ops.push_back((*item)[p].AsSlice());
+    }
+    EncodeBatchRequest(ops, &envelopes[p]);
+    ChargeBatchEnvelope(host_->metrics(), span);
+  }
+  SSDB_ASSIGN_OR_RETURN(
+      std::vector<ProviderResponse> responses,
+      CallQuorum(host_->network(), providers, envelopes, desired, minimum,
+                 trace, host_->resilience(), host_->scoreboard(), order,
+                 host_->metrics()));
+
+  // A provider whose envelope does not parse is dropped for the whole
+  // round: its sub-responses are untrustworthy.
+  std::vector<std::vector<ProviderResponse>> per_item(span);
+  for (const ProviderResponse& r : responses) {
+    Decoder dec(Slice(r.bytes));
+    if (!DecodeResponseHeader(&dec).ok()) continue;
+    std::vector<Slice> subs;
+    if (!DecodeBatchResponsePayload(&dec, &subs).ok()) continue;
+    if (subs.size() != span) continue;
+    for (size_t i = 0; i < span; ++i) {
+      per_item[i].push_back(ProviderResponse{
+          r.provider, std::vector<uint8_t>(subs[i].data(),
+                                           subs[i].data() + subs[i].size())});
+    }
+  }
+  return per_item;
 }
 
 std::vector<Result<QueryResult>> Executor::ExecuteBatch(
@@ -334,18 +372,9 @@ std::vector<Result<QueryResult>> Executor::ExecuteBatch(
         continue;
       }
 
-      // One envelope per provider carrying this chunk's requests; the
-      // resilience layer treats it as a single call.
-      std::vector<Buffer> envelopes(providers.size());
-      for (size_t p = 0; p < providers.size(); ++p) {
-        std::vector<Slice> ops;
-        ops.reserve(span);
-        for (size_t j = begin; j < end; ++j) {
-          ops.push_back(items[j].requests[p].AsSlice());
-        }
-        EncodeBatchRequest(ops, &envelopes[p]);
-        ChargeBatchEnvelope(host_->metrics(), span);
-      }
+      std::vector<const std::vector<Buffer>*> chunk;
+      chunk.reserve(span);
+      for (size_t j = begin; j < end; ++j) chunk.push_back(&items[j].requests);
       // Legs and clock are recorded once, on the first plan's fan-out
       // node: the envelope's bytes belong to exactly one trace so the
       // per-provider totals still reconcile with ChannelStats.
@@ -353,32 +382,13 @@ std::vector<Result<QueryResult>> Executor::ExecuteBatch(
       PlanNodeTrace* lead_rec =
           Rec(fanout_node(*plans[lead_slot]), &traces[lead_slot]);
       const uint64_t start_us = host_->network()->clock().now_us();
-      Result<std::vector<ProviderResponse>> resp_r = CallQuorum(
-          host_->network(), providers, envelopes, desired, minimum, lead_rec,
-          host_->resilience(), host_->scoreboard(), order, host_->metrics());
-      if (!resp_r.ok()) {
+      Result<std::vector<std::vector<ProviderResponse>>> per_item =
+          CallEnvelopes(providers, chunk, desired, minimum, order, lead_rec);
+      if (!per_item.ok()) {
         for (size_t j = begin; j < end; ++j) {
           individual.push_back(items[j].slot);
         }
         continue;
-      }
-
-      // Split each provider's envelope into per-plan sub-responses; a
-      // provider whose envelope does not parse is dropped for the whole
-      // chunk.
-      std::vector<std::vector<ProviderResponse>> per_item(span);
-      for (const ProviderResponse& r : *resp_r) {
-        Decoder dec(Slice(r.bytes));
-        if (!DecodeResponseHeader(&dec).ok()) continue;
-        std::vector<Slice> subs;
-        if (!DecodeBatchResponsePayload(&dec, &subs).ok()) continue;
-        if (subs.size() != span) continue;
-        for (size_t j = 0; j < span; ++j) {
-          per_item[j].push_back(ProviderResponse{
-              r.provider,
-              std::vector<uint8_t>(subs[j].data(),
-                                   subs[j].data() + subs[j].size())});
-        }
       }
 
       for (size_t j = 0; j < span; ++j) {
@@ -389,10 +399,11 @@ std::vector<Result<QueryResult>> Executor::ExecuteBatch(
           rec->executed = true;
         }
         if (!plan.is_join) StampShard(plan.pipelines.front(), trace);
+        const std::vector<ProviderResponse>& responses = (*per_item)[j];
         Result<QueryResult> part =
             plan.is_join
-                ? DecodeJoin(plan, per_item[j], trace)
-                : DecodePipeline(plan.pipelines.front(), per_item[j], trace);
+                ? DecodeJoin(plan, responses, trace)
+                : DecodePipeline(plan.pipelines.front(), responses, trace);
         if (part.ok() && !plan.is_join) {
           const Status st =
               ApplyOverlay(plan.pipelines.front(), &part.value(), trace);
@@ -481,7 +492,6 @@ Result<QueryResult> Executor::RunUnion(const QueryPlan& plan,
 
 Result<QueryResult> Executor::RunUnionBatched(const QueryPlan& plan,
                                               QueryTrace* trace) {
-  const size_t num_providers = host_->num_providers();
   const size_t batch_max = host_->batch_max_ops();
 
   // Build every branch's per-provider requests up front; provably-empty
@@ -533,52 +543,24 @@ Result<QueryResult> Executor::RunUnionBatched(const QueryPlan& plan,
       continue;
     }
 
-    // One envelope per provider carrying this chunk's branch requests;
-    // the resilience layer sees it as a single call (deadline, retries,
-    // hedging and the scoreboard all charge one request).
-    std::vector<Buffer> requests(num_providers);
-    for (size_t p = 0; p < num_providers; ++p) {
-      std::vector<Slice> ops;
-      ops.reserve(span);
-      for (size_t b = begin; b < end; ++b) {
-        ops.push_back(branch_requests[b][p].AsSlice());
-      }
-      EncodeBatchRequest(ops, &requests[p]);
-      ChargeBatchEnvelope(host_->metrics(), span);
-    }
-    Result<std::vector<ProviderResponse>> resp_r = CallQuorum(
-        host_->network(), providers, requests, lead->quorum_desired,
-        lead->quorum_min, root_rec, host_->resilience(), host_->scoreboard(),
-        lead->quorum_order, host_->metrics());
-    if (!resp_r.ok()) {
+    std::vector<const std::vector<Buffer>*> chunk;
+    chunk.reserve(span);
+    for (size_t b = begin; b < end; ++b) chunk.push_back(&branch_requests[b]);
+    Result<std::vector<std::vector<ProviderResponse>>> per_branch =
+        CallEnvelopes(providers, chunk, lead->quorum_desired,
+                      lead->quorum_min, lead->quorum_order, root_rec);
+    if (!per_branch.ok()) {
       // Envelope round lost: let the caller fall back to the classic
       // per-branch path with its own retry ladder.
       return Status::NotSupported("batch: union envelope round failed");
-    }
-
-    // Split each provider's envelope into per-branch sub-responses; a
-    // provider whose envelope does not parse is dropped for the whole
-    // chunk (its sub-responses are untrustworthy).
-    std::vector<std::vector<ProviderResponse>> per_branch(span);
-    for (const ProviderResponse& r : *resp_r) {
-      Decoder dec(Slice(r.bytes));
-      if (!DecodeResponseHeader(&dec).ok()) continue;
-      std::vector<Slice> subs;
-      if (!DecodeBatchResponsePayload(&dec, &subs).ok()) continue;
-      if (subs.size() != span) continue;
-      for (size_t b = 0; b < span; ++b) {
-        per_branch[b].push_back(ProviderResponse{
-            r.provider,
-            std::vector<uint8_t>(subs[b].data(),
-                                 subs[b].data() + subs[b].size())});
-      }
     }
 
     for (size_t b = 0; b < span; ++b) {
       const PipelinePlan& pipe = *active[begin + b];
       StampShard(pipe, trace);
       if (PlanNodeTrace* rec = Rec(pipe.scan, trace)) rec->executed = true;
-      Result<QueryResult> part = DecodePipeline(pipe, per_branch[b], trace);
+      Result<QueryResult> part =
+          DecodePipeline(pipe, (*per_branch)[b], trace);
       // Partial-batch failures retry at sub-batch granularity: only the
       // affected branch re-runs, individually, at the widest quorum —
       // mirroring RunPipelineWithRetry's ladder.
@@ -730,14 +712,13 @@ Result<QueryResult> Executor::DecodePipeline(
   const TableSchema& schema = *pipe.table.schema;
   PlanNodeTrace* agg_rec = Rec(pipe.aggregate, trace);
 
-  // Majority-group identical payloads to tolerate corrupt responses.
-  std::unordered_map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < responses.size(); ++i) {
-    groups[PayloadSignature(responses[i].bytes)].push_back(i);
-  }
-
   switch (pipe.action) {
     case QueryAction::kCount: {
+      // Majority-group identical payloads to tolerate corrupt responses.
+      std::unordered_map<uint64_t, std::vector<size_t>> groups;
+      for (size_t i = 0; i < responses.size(); ++i) {
+        groups[PayloadSignature(responses[i].bytes)].push_back(i);
+      }
       std::vector<size_t> best;
       for (auto& [sig, members] : groups) {
         if (members.size() > best.size()) best = members;

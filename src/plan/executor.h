@@ -1,5 +1,5 @@
-// The Executor: walks a QueryPlan, issuing Network::CallMany fan-outs
-// and Lagrange reconstruction through the PlanHost hooks.
+// The Executor: walks a QueryPlan, issuing Network::CallManyDistinct
+// fan-outs and Lagrange reconstruction through the PlanHost hooks.
 //
 // Execution is a faithful re-organization of the client's former
 // monolithic query paths: the same per-provider rewrites, the same
@@ -40,17 +40,13 @@ class Executor {
   /// `PlanHost::batch_max_ops()` plans. Plans the fused path cannot carry
   /// (unions, lone chunks) and plans whose fused leg fails (partial-batch
   /// corruption, quorum loss) re-run individually through Execute's full
-  /// retry ladder. Slot i holds plan i's result.
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      const std::vector<const QueryPlan*>& plans);
-
-  /// ExecuteBatch with per-plan tenant attribution: `tenants[i]` is
-  /// stamped on plan i's finalized trace (empty vector = none; otherwise
-  /// sizes must match). A wave mixing tenants still fuses — only the
-  /// trace stamp differs per slot.
+  /// retry ladder. Slot i holds plan i's result. `tenants[i]` is stamped
+  /// on plan i's finalized trace (empty vector = the set_tenant stamp for
+  /// every slot; otherwise sizes must match); a wave mixing tenants still
+  /// fuses.
   std::vector<Result<QueryResult>> ExecuteBatch(
       const std::vector<const QueryPlan*>& plans,
-      const std::vector<std::string>& tenants);
+      const std::vector<std::string>& tenants = {});
 
   /// One provider's successful response; `provider` is the client-local
   /// leg index (the share evaluation point index).
@@ -106,6 +102,16 @@ class Executor {
   /// to the classic per-branch path.
   Result<QueryResult> RunUnionBatched(const QueryPlan& plan,
                                       QueryTrace* trace);
+  /// One fused envelope round, shared by ExecuteBatch and
+  /// RunUnionBatched: provider p's envelope carries `(*items[i])[p]` for
+  /// every item i, all envelopes go out in one CallQuorum (legs and clock
+  /// recorded on `trace`), and slot i of the result holds item i's
+  /// sub-responses. A provider whose envelope does not parse is dropped
+  /// for the whole round.
+  Result<std::vector<std::vector<ProviderResponse>>> CallEnvelopes(
+      const std::vector<size_t>& providers,
+      const std::vector<const std::vector<Buffer>*>& items, size_t desired,
+      size_t minimum, const std::vector<size_t>& order, PlanNodeTrace* trace);
   Result<QueryResult> RunPipelineWithRetry(const PipelinePlan& pipe,
                                            QueryTrace* trace);
   Result<QueryResult> RunPipeline(const PipelinePlan& pipe, size_t quorum,

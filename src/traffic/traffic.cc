@@ -78,6 +78,38 @@ std::string DescribeAnswer(const QueryResult& r) {
   return out.str();
 }
 
+/// The Query of a point read, range scan or aggregate request against
+/// `table` (the same query whether it runs alone or in a batched wave).
+Query ReadQuery(const TrafficRequest& req, const std::string& table) {
+  Query q = Query::Select(table);
+  switch (req.op) {
+    case TrafficOp::kPointRead:
+      q.Where(Eq("name", Value::Str(req.key)));
+      break;
+    case TrafficOp::kRangeScan:
+      q.Where(Between("salary", Value::Int(req.a), Value::Int(req.b)));
+      break;
+    case TrafficOp::kAggregate:
+      switch (req.b) {
+        case 0:
+          q.Where(Eq("dept", Value::Int(req.a)))
+              .Aggregate(AggregateOp::kSum, "salary");
+          break;
+        case 1:
+          q.Where(Eq("dept", Value::Int(req.a)))
+              .Aggregate(AggregateOp::kCount);
+          break;
+        default:
+          q.Aggregate(AggregateOp::kSum, "salary").GroupBy("dept");
+          break;
+      }
+      break;
+    default:
+      break;  // unreachable: only reads build a read query
+  }
+  return q;
+}
+
 /// Token bucket charged in virtual time; tokens refill from the arrival
 /// timeline only, so admission is a pure function of the arrival sequence.
 struct TokenBucket {
@@ -463,44 +495,10 @@ Result<TrafficReport> TrafficHarness::Run() {
       }
     };
     switch (req.op) {
-      case TrafficOp::kPointRead: {
-        auto r = db_->Execute(
-            Query::Select(spec.name).Where(Eq("name", Value::Str(req.key))),
-            ctx);
-        if (!r.ok()) {
-          out.status = r.status();
-          return;
-        }
-        record_read(std::move(r.value()));
-        return;
-      }
-      case TrafficOp::kRangeScan: {
-        auto r = db_->Execute(Query::Select(spec.name).Where(Between(
-                                  "salary", Value::Int(req.a), Value::Int(req.b))),
-                              ctx);
-        if (!r.ok()) {
-          out.status = r.status();
-          return;
-        }
-        record_read(std::move(r.value()));
-        return;
-      }
+      case TrafficOp::kPointRead:
+      case TrafficOp::kRangeScan:
       case TrafficOp::kAggregate: {
-        Query q = Query::Select(spec.name);
-        switch (req.b) {
-          case 0:
-            q.Where(Eq("dept", Value::Int(req.a)))
-                .Aggregate(AggregateOp::kSum, "salary");
-            break;
-          case 1:
-            q.Where(Eq("dept", Value::Int(req.a)))
-                .Aggregate(AggregateOp::kCount);
-            break;
-          default:
-            q.Aggregate(AggregateOp::kSum, "salary").GroupBy("dept");
-            break;
-        }
-        auto r = db_->Execute(q, ctx);
+        auto r = db_->Execute(ReadQuery(req, spec.name), ctx);
         if (!r.ok()) {
           out.status = r.status();
           return;
@@ -636,34 +634,7 @@ Result<TrafficReport> TrafficHarness::Run() {
       queries.reserve(wave.size());
       for (size_t i : wave) {
         const TrafficRequest& req = schedule[i];
-        const TenantSpec& spec = tenants_[req.tenant];
-        Query q = Query::Select(spec.name);
-        switch (req.op) {
-          case TrafficOp::kPointRead:
-            q.Where(Eq("name", Value::Str(req.key)));
-            break;
-          case TrafficOp::kRangeScan:
-            q.Where(Between("salary", Value::Int(req.a), Value::Int(req.b)));
-            break;
-          case TrafficOp::kAggregate:
-            switch (req.b) {
-              case 0:
-                q.Where(Eq("dept", Value::Int(req.a)))
-                    .Aggregate(AggregateOp::kSum, "salary");
-                break;
-              case 1:
-                q.Where(Eq("dept", Value::Int(req.a)))
-                    .Aggregate(AggregateOp::kCount);
-                break;
-              default:
-                q.Aggregate(AggregateOp::kSum, "salary").GroupBy("dept");
-                break;
-            }
-            break;
-          default:
-            break;  // unreachable: only reads enter waves
-        }
-        queries.push_back(std::move(q));
+        queries.push_back(ReadQuery(req, tenants_[req.tenant].name));
       }
       std::vector<RequestContext> ctxs;
       ctxs.reserve(wave.size());

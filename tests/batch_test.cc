@@ -371,6 +371,70 @@ TEST(BatchEquivalence, LazyFlushCoalescesPerProvider) {
       << "coalesced=" << coalesced.first << " per_op=" << per_op.first;
 }
 
+TEST(BatchEquivalence, ShardedFlushAdvancesAllGroupsInOneRound) {
+  // m=2 range-partitioned on eid: low eids live in group 0, high ones in
+  // group 1. The pending log holds an update in group 0; a metered insert
+  // into group 1 fills it to the flush threshold, so that insert's meter
+  // bills exactly the flush.
+  struct Flush {
+    uint64_t rounds = 0;
+    uint64_t clock_us = 0;
+    std::vector<uint64_t> bytes_sent;  // per provider
+  };
+  auto run = [](size_t batch_max_ops) {
+    OutsourcedDbOptions options;
+    options.topology = Topology(/*m=*/2, /*n_per=*/3, /*k=*/2,
+                                Partitioner::kRange);
+    options.fanout_threads = 1;
+    options.client.batch_max_ops = batch_max_ops;
+    options.client.lazy_updates = true;
+    options.client.lazy_flush_threshold = 2;
+    auto db = std::move(OutsourcedDatabase::Create(options)).value();
+    TableSchema schema;
+    schema.table_name = "Staff";
+    schema.columns = {IntColumn("eid", 0, 100000),
+                      IntColumn("salary", 0, 200000)};
+    EXPECT_TRUE(db->CreateTable(schema).ok());
+    EXPECT_TRUE(db->Insert("Staff", {{Value::Int(10), Value::Int(500)},
+                                     {Value::Int(90000), Value::Int(600)}})
+                    .ok());
+    EXPECT_TRUE(db->Update("Staff", {Eq("eid", Value::Int(10))}, "salary",
+                           Value::Int(700))
+                    .ok());
+    EXPECT_EQ(db->client().pending_lazy_ops(), 1u);
+
+    std::vector<uint64_t> sent_before(db->n());
+    for (size_t i = 0; i < db->n(); ++i) {
+      sent_before[i] = db->network().stats(i).bytes_sent;
+    }
+    EXPECT_TRUE(db->Insert("Staff", {{Value::Int(95000), Value::Int(800)}},
+                           RequestContext{"acme"})
+                    .ok());
+    EXPECT_EQ(db->client().pending_lazy_ops(), 0u);
+    Flush out;
+    MetricsRegistry& reg = db->metrics();
+    const MetricLabels acme = {{"tenant", "acme"}};
+    out.rounds = reg.CounterValue("ssdb_meter_rounds_total", acme);
+    out.clock_us = reg.CounterValue("ssdb_meter_clock_us_total", acme);
+    for (size_t i = 0; i < db->n(); ++i) {
+      out.bytes_sent.push_back(db->network().stats(i).bytes_sent -
+                               sent_before[i]);
+    }
+    return out;
+  };
+
+  const Flush per_op = run(1);
+  const Flush coalesced = run(128);
+  // One message per provider: group 0 gets the update and group 1 the
+  // insert in the same round, at every batch_max_ops.
+  EXPECT_EQ(per_op.rounds, 1u);
+  EXPECT_EQ(per_op.clock_us, 40006u);
+  EXPECT_EQ(per_op.bytes_sent, std::vector<uint64_t>(6, 86));
+  EXPECT_EQ(coalesced.rounds, per_op.rounds);
+  EXPECT_EQ(coalesced.clock_us, per_op.clock_us);
+  EXPECT_EQ(coalesced.bytes_sent, per_op.bytes_sent);
+}
+
 TEST(BatchEquivalence, BatchedJoinsMatchSerialExecution) {
   auto setup = [](size_t batch_max_ops) {
     OutsourcedDbOptions options;

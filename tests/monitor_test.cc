@@ -19,6 +19,7 @@
 #include "core/outsourced_db.h"
 #include "obs/monitor.h"
 #include "traffic/traffic.h"
+#include "workload/generators.h"
 
 namespace ssdb {
 namespace {
@@ -426,6 +427,56 @@ TEST(MonitorAlerts, QuotaOverloadFiresRejectRatioRule) {
   EXPECT_GE(db->metrics().CounterValue("ssdb_alerts_fired_total",
                                        {{"rule", "admission_reject_ratio"}}),
             1u);
+}
+
+// ---------------------------------------------------------------------------
+// Direct metered mutations: the rounds charge counts write rounds only.
+
+uint64_t MeterValue(OutsourcedDatabase& db, const std::string& series) {
+  return db.metrics().CounterValue(series, {{"tenant", "acme"}});
+}
+
+TEST(MonitorMetering, EagerWritesBillOneWriteRoundEach) {
+  auto db = MakeDb();
+  ASSERT_TRUE(db->CreateTable(EmployeeGenerator::EmployeesSchema()).ok());
+  EmployeeGenerator gen(5, Distribution::kUniform);
+  const std::vector<std::vector<Value>> rows = gen.Rows(8);
+  const RequestContext ctx{"acme"};
+
+  ASSERT_TRUE(db->Insert("Employees", rows, ctx).ok());
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_rounds_total"), 1u);
+
+  // The update reads its rows through a quorum round before the reshare
+  // round; the read legs are billed in bytes and clock but not in rounds.
+  const uint64_t calls_before = db->network_stats().calls;
+  auto updated = db->Update("Employees", {Eq("name", rows[0][0])}, "salary",
+                            Value::Int(12345), ctx);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_GE(*updated, 1u);
+  EXPECT_GT(db->network_stats().calls - calls_before, db->n());
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_rounds_total"), 2u);
+
+  auto deleted = db->Delete("Employees", {Eq("name", rows[1][0])}, ctx);
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_GE(*deleted, 1u);
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_rounds_total"), 3u);
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_requests_total"), 3u);
+}
+
+TEST(MonitorMetering, WriteThatSendsNothingBillsNoRound) {
+  OutsourcedDbOptions options;
+  options.topology = Topology(/*m=*/2, /*n_per=*/2, /*k=*/2);
+  options.fanout_threads = 1;
+  auto db = std::move(OutsourcedDatabase::Create(std::move(options))).value();
+  ASSERT_TRUE(db->CreateTable(EmployeeGenerator::EmployeesSchema()).ok());
+
+  // With shard groups an empty insert has no owning group to write to.
+  const uint64_t calls_before = db->network_stats().calls;
+  ASSERT_TRUE(db->Insert("Employees", {}, RequestContext{"acme"}).ok());
+  EXPECT_EQ(db->network_stats().calls, calls_before);
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_requests_total"), 1u);
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_rounds_total"), 0u);
+  EXPECT_EQ(MeterValue(*db, "ssdb_meter_bytes_sent_total"), 0u);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(Network, FanOutChargesSlowestLegOnly) {
 
   Buffer req;
   req.PutU8(7);
-  auto fan = net.CallMany({small, big}, req.AsSlice());
+  auto fan = net.CallManyDistinct({small, big}, {req, req});
   ASSERT_EQ(fan.responses.size(), 2u);
   EXPECT_TRUE(fan.responses[0].ok());
   EXPECT_TRUE(fan.responses[1].ok());

@@ -169,6 +169,33 @@ TEST(DurableBackend, WritesDuringOutageReachTheProviderAtRestart) {
             0u);
 }
 
+TEST(DurableBackend, RefreshDuringOutageFailsWithoutQueueing) {
+  const std::string dir = MakeStorageDir("outage_refresh");
+  auto db = MakeDurableDb(dir);
+  ASSERT_TRUE(db->CreateTable(EmployeesSchema()).ok());
+  ASSERT_TRUE(db->BulkLoad("Employees", EmployeeRows(12, 8)).ok());
+
+  db->faults().Kill(2);
+  ASSERT_TRUE(db->Insert("Employees", {{Value::Int(500), Value::Str("QUINN"),
+                                        Value::Int(4242)}})
+                  .ok());
+  const size_t queued = db->client().pending_resync_ops(2);
+  EXPECT_EQ(queued, 1u);
+  // A refresh needs every provider: its probe is not a mutation, so it
+  // travels to the dead provider and fails there instead of queueing.
+  EXPECT_TRUE(db->RefreshTable("Employees").IsUnavailable());
+  EXPECT_EQ(db->client().pending_resync_ops(2), queued);
+
+  ASSERT_TRUE(db->faults().Restart(2).ok());
+  EXPECT_EQ(db->client().pending_resync_ops(2), 0u);
+  ASSERT_TRUE(db->RefreshTable("Employees").ok());
+  auto r = db->Execute(
+      Query::Select("Employees").Where(Eq("eid", Value::Int(500))));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][2].ToString(), Value::Int(4242).ToString());
+}
+
 TEST(DurableBackend, ColdRestartRecoversBitIdenticalProviderState) {
   const std::string dir = MakeStorageDir("cold_restart");
   std::vector<std::string> snapshots(kProviders);
